@@ -23,17 +23,21 @@ use crate::layers::{self, SHARDS};
 use crate::oracle::{self, Mismatch};
 use crate::procs::{pin_to_one_cpu, tight_timer_slack, vm_hwm_kib, Cluster, CpuSample};
 use crate::report::Report;
-use crate::stats::{median, summarize};
+use crate::stats::{median, summarize, RateSlices};
 use crate::trace::Tracer;
 use crate::Args;
 
 /// The daemon workloads' names.
 pub const WORKLOADS: [&str; 2] = ["ingest-fanout", "query-mix"];
-/// Cluster set-ups per run, half before the measured phase (the last
-/// of those is measured) and half after it: on a shared host set-up
-/// time shifts within seconds, and spreading the set-ups over the run
-/// keeps their median from depending on its first second.
+/// Cluster set-ups per `query-mix` run: half before the measured phase
+/// (the last of those is measured) and half after it, because its open
+/// loop cannot pause. On a shared host set-up time shifts within
+/// seconds, so the set-ups are spread over the run.
 const SETUPS: usize = 16;
+/// Cluster set-ups after each `ingest-fanout` round, besides the
+/// measured cluster's own. A start without pre-fill varies more within a
+/// run than `query-mix`'s, so there are more of them.
+const SETUPS_PER_ROUND: usize = 4;
 const IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// Closed-loop read-back queries per kind on `ingest-fanout`.
 const READBACK: usize = 1024;
@@ -42,8 +46,11 @@ const SEGMENTS: usize = 8;
 /// Offered load of `query-mix`.
 const RATE: f64 = 1000.0;
 /// Rows per commit group on `query-mix`, whose ingests arrive at only
-/// 5% of [`RATE`]: a 256-row group would take five seconds.
+/// 5% of [`RATE`]: a 20 s run holds four 256-row groups.
 const MIX_GROUP: usize = 16;
+/// Slices of a `query-mix` run for `ingest.rows_per_s`: about thirty
+/// ingests each, so one host stall spoils one slice, not the median.
+const MIX_RATE_SLICES: usize = 32;
 /// Modelled requests per kind in a traced run.
 const MODEL_INGESTS: usize = 1024;
 const MODEL_QUERIES: usize = 256;
@@ -84,6 +91,10 @@ struct Samples {
     late: Vec<f64>,
     /// Commit-group latencies, µs.
     commits: Vec<f64>,
+    /// Rows acknowledged and the time spent on them: whole ingest
+    /// rounds on `ingest-fanout`, each ingest's send-to-ack time on
+    /// `query-mix`.
+    rate: RateSlices,
 }
 
 /// The client end: one connection, one id counter, and the trace.
@@ -192,6 +203,7 @@ fn readback_ops(seed: u64, streams: usize, per_kind: usize) -> Vec<Op> {
 /// oracle up to date (untimed) and a slice of the closed-loop read-back.
 /// Slicing spreads the read-back over the whole run instead of its last
 /// seconds, which on a shared host may be unusually fast or slow.
+/// `between(next_id)` runs after each round, outside every timed span.
 fn fanout_phase(
     d: &mut Driver,
     gen: &mut RowGen,
@@ -199,15 +211,20 @@ fn fanout_phase(
     seed: u64,
     seconds: f64,
     rep: &mut Report,
-) -> Samples {
-    let mut s = Samples::default();
+    mut between: impl FnMut(&mut u64) -> Result<(), String>,
+) -> Result<Samples, String> {
+    let mut s = Samples {
+        rate: RateSlices::new(SEGMENTS, seconds),
+        ..Samples::default()
+    };
     let ops = readback_ops(seed, oracle.streams(), READBACK);
     let per = READBACK / SEGMENTS;
     let start = Instant::now();
     for seg in 0..SEGMENTS {
         let end = start + Duration::from_secs_f64(seconds * (seg + 1) as f64 / SEGMENTS as f64);
         let mut acked = Vec::new();
-        let mut prev_done = Instant::now();
+        let round_start = Instant::now();
+        let mut prev_done = round_start;
         let mut group_start = prev_done;
         let mut sent = 0u64;
         while Instant::now() < end {
@@ -234,6 +251,9 @@ fn fanout_phase(
                 s.commits.push(us(t1 - group_start));
             }
         }
+        let at = (round_start - start).as_secs_f64();
+        s.rate
+            .add(at, acked.len() as u64, us(round_start.elapsed()));
         for row in &acked {
             oracle.push_row(row);
         }
@@ -241,9 +261,10 @@ fn fanout_phase(
             let slice = &ops[kind * READBACK + seg * per..kind * READBACK + (seg + 1) * per];
             readback(d, slice, oracle, &mut s, rep);
         }
+        between(&mut d.next_id)?;
     }
     rep.run_s = start.elapsed().as_secs_f64();
-    s
+    Ok(s)
 }
 
 /// Closed-loop read-back of `ops`, each answer checked.
@@ -277,11 +298,17 @@ fn mix_phase(
     rep: &mut Report,
 ) -> Samples {
     tight_timer_slack();
-    let mut s = Samples::default();
+    let mut s = Samples {
+        rate: RateSlices::new(MIX_RATE_SLICES, seconds),
+        ..Samples::default()
+    };
     let mut q = QueryGen::new(seed, oracle.streams(), WINDOW);
     let sched = OpenLoop::new(Instant::now() + Duration::from_millis(1), RATE);
     let end = sched.start + Duration::from_secs_f64(seconds);
-    let mut group_start = sched.start;
+    // A commit group's time is the sum of its ingests' send-to-ack
+    // times: the cluster's work on its rows, without the schedule's gaps
+    // between arrivals or the wait behind earlier requests.
+    let mut group_us = 0.0;
     let mut ingests = 0u64;
     let mut i = 0u64;
     loop {
@@ -302,20 +329,28 @@ fn mix_phase(
         let id = ingest.as_ref().map(|(id, _)| *id);
         let resp = d.call(&op, ingest, rep);
         let done = Instant::now();
+        let service = us(done - sent);
         s.lat[op.kind()].push(us(latency_from_due(due, done)));
-        s.service[op.kind()].push(us(done - sent));
+        s.service[op.kind()].push(service);
         if let (Some(id), Some(row)) = (id, row) {
-            if ingests.is_multiple_of(MIX_GROUP as u64) {
-                group_start = due;
-            }
-            match resp.map(|r| oracle::check_ingest(&r, id)) {
-                Some(Ok(())) => oracle.push_row(&row),
-                Some(Err(e)) => rep.wrong(e),
-                None => {}
-            }
+            group_us += service;
+            let ok = match resp.map(|r| oracle::check_ingest(&r, id)) {
+                Some(Ok(())) => {
+                    oracle.push_row(&row);
+                    true
+                }
+                Some(Err(e)) => {
+                    rep.wrong(e);
+                    false
+                }
+                None => false,
+            };
+            let at = (due - sched.start).as_secs_f64();
+            s.rate.add(at, u64::from(ok), service);
             ingests += 1;
             if ingests.is_multiple_of(MIX_GROUP as u64) {
-                s.commits.push(us(done - group_start));
+                s.commits.push(group_us);
+                group_us = 0.0;
             }
         } else if let Some(Err(e)) = resp.map(|r| check(&op, &r, oracle)) {
             rep.wrong(e);
@@ -395,7 +430,8 @@ pub fn run(args: &Args) -> Result<Report, String> {
     let mut next_id = 0u64;
     let mut setup_s = Vec::new();
     let mut live = None;
-    for i in 0..SETUPS / 2 {
+    let before = if fanout { 1 } else { SETUPS / 2 };
+    for i in 0..before {
         drop(live.take());
         let t0 = Instant::now();
         let started = setup(args, i, streams, &prefill_rows, &mut next_id)?;
@@ -410,6 +446,17 @@ pub fn run(args: &Args) -> Result<Report, String> {
     }
     let pids = cluster.pids();
     let cpu0 = CpuSample::read(&pids);
+    let mut next_setup = before;
+    let mut timed_setups = |next_id: &mut u64, n: usize| -> Result<(), String> {
+        for _ in 0..n {
+            let t0 = Instant::now();
+            let started = setup(args, next_setup, streams, &prefill_rows, next_id)?;
+            setup_s.push(t0.elapsed().as_secs_f64());
+            drop(started);
+            next_setup += 1;
+        }
+        Ok(())
+    };
     let mut s = if fanout {
         fanout_phase(
             &mut d,
@@ -418,7 +465,8 @@ pub fn run(args: &Args) -> Result<Report, String> {
             args.seed,
             args.seconds,
             &mut rep,
-        )
+            |next_id| timed_setups(next_id, SETUPS_PER_ROUND),
+        )?
     } else {
         mix_phase(
             &mut d,
@@ -433,18 +481,15 @@ pub fn run(args: &Args) -> Result<Report, String> {
     let requests: usize = s.lat.iter().map(Vec::len).sum();
     let hwm_mib = pids.iter().filter_map(|&p| vm_hwm_kib(p)).sum::<u64>() as f64 / 1024.0;
     drop(cluster);
-    for i in SETUPS / 2..SETUPS {
-        let t0 = Instant::now();
-        let started = setup(args, i, streams, &prefill_rows, &mut next_id)?;
-        setup_s.push(t0.elapsed().as_secs_f64());
-        drop(started);
+    if !fanout {
+        timed_setups(&mut d.next_id, SETUPS / 2)?;
     }
 
     rep.e2e(
         "setup_s",
         median(&setup_s),
         "s",
-        format!("median of {SETUPS} cluster starts: {setup_s:.4?}"),
+        format!("median of {} cluster starts: {setup_s:.4?}", setup_s.len()),
     );
     rep.ungated(
         "peak_rss_mb",
@@ -457,11 +502,16 @@ pub fn run(args: &Args) -> Result<Report, String> {
             "no {group}-row commit group completed; raise --seconds"
         ));
     }
-    rep.e2e_group_rate(group, &s.commits);
+    let how = if fanout {
+        "ingest rounds of acknowledged rows / the round's duration (its read-back excluded)"
+    } else {
+        "slices of the run of acknowledged rows / the summed send-to-ack time of their ingests"
+    };
+    rep.ingest_rate(&s.rate.rates(), how);
     for (k, name) in KINDS.iter().enumerate() {
         rep.latency(name, k == 0, summarize(&mut s.lat[k], 0.99));
     }
-    rep.latency("commit", true, summarize(&mut s.commits, 0.99));
+    rep.latency("commit", false, summarize(&mut s.commits, 0.99));
 
     if let Some(mut tracer) = d.tracer.take() {
         let kreq = requests as f64 / 1e3;

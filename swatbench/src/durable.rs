@@ -2,19 +2,15 @@
 //! `DurableStore`, and the store layer's probe for the other workloads.
 //!
 //! Rows go in one at a time with `push_row`; `sync()` after every
-//! [`GROUP`] rows is the group-commit acknowledgement. After each commit
-//! the workload reads the store's live trees (points, a range, a top-k),
-//! so every query metric has a value here too; those reads are logged
-//! and replayed against an oracle afterwards.
+//! [`GROUP`] rows is the group-commit acknowledgement. Afterwards the
+//! rows are replayed into a plain `StreamSet`, whose digest the synced
+//! store, and the directory recovered after closing it, must match.
 
 use std::path::Path;
 use std::time::Instant;
 
 use swat_store::{DurableStore, RecoveryManager, StoreOptions};
-use swat_tree::{
-    local_top_k, PointAnswer, QueryOptions, RangeMatch, RangeQuery, StreamSet, SwatConfig,
-};
-use swat_wavelet::TopCoeff;
+use swat_tree::{StreamSet, SwatConfig};
 
 use crate::gen::{Op, QueryGen, RowGen, TOP_K};
 use crate::oracle;
@@ -33,10 +29,16 @@ pub const WINDOW: usize = 256;
 pub const COEFFS: usize = 4;
 /// Rows per commit group, on every workload.
 pub const GROUP: usize = 256;
-/// Store creations per run; `setup_s` is their median. Each is a few
-/// fsyncs, so many are cheap and the median steadies.
-const SETUPS: usize = 25;
-const POINTS_PER_COMMIT: usize = 4;
+/// Store creations per run; `setup_s` is their median. The first makes
+/// the run's store; the rest are spread evenly over the measured phase,
+/// because a creation is a few fsyncs whose cost shifts within seconds
+/// on a shared disk, and back-to-back creations all see the same moment.
+const SETUPS: usize = 24;
+/// Commit groups per freeze cycle: with default `StoreOptions` a
+/// generation freezes every 4096 rows, so each run of this many
+/// consecutive groups carries one freeze and hand-off to the flusher.
+/// `ingest.rows_per_s` is the median over the run's cycles.
+const CYCLE_GROUPS: usize = 16;
 /// Commit groups the store probe replays on the daemon workloads:
 /// twelve frozen generations, enough for flushes and (from eight
 /// segments on) a compaction.
@@ -44,13 +46,6 @@ const PROBE_GROUPS: u64 = 192;
 
 fn us(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e6
-}
-
-/// An answer read from the live store, kept for the oracle replay.
-enum Answer {
-    Point(PointAnswer),
-    Range(Vec<RangeMatch>),
-    TopK(Vec<TopCoeff>),
 }
 
 /// What [`drive`] measured.
@@ -66,12 +61,8 @@ pub struct StoreRun {
     pub lag: Vec<u64>,
     /// Rows committed.
     pub rows: u64,
-    /// Generator time between one commit's end and the next's start, µs.
+    /// Time spent generating each group's rows, µs.
     pub late_us: Vec<f64>,
-    /// Read latencies after commits, µs, by [`Op::kind`].
-    pub reads: [Vec<f64>; 4],
-    /// Reads with the arrival count they saw and their answers.
-    log: Vec<(u64, Op, Answer)>,
     /// The same rows pushed back-to-back into a plain `StreamSet`, ns.
     pub plain_push_ns: Vec<f64>,
     /// Background flushes at the end.
@@ -80,26 +71,25 @@ pub struct StoreRun {
     pub compactions: u64,
 }
 
-/// Commit groups of generated rows into `store` until `stop` says so,
-/// reading the live trees after each commit. With `plain`, each group's
-/// rows are also pushed into it after the commit, for the tree's share
-/// of `push_row` measured the same way.
+/// Commit groups of generated rows into `store`. `between(groups)` runs
+/// before each group, outside every timed span, and ends the run by
+/// returning false. With `plain`, each group's rows are also pushed into
+/// it after the commit, for the tree's share of `push_row` measured the
+/// same way.
 fn drive(
     store: &mut DurableStore,
     gen: &mut RowGen,
-    q: &mut QueryGen,
-    mut stop: impl FnMut(u64) -> bool,
+    mut between: impl FnMut(u64) -> Result<bool, String>,
     mut tracer: Option<&mut Tracer>,
     mut plain: Option<&mut StreamSet>,
 ) -> Result<StoreRun, String> {
-    let members: Vec<usize> = (0..store.set().streams()).collect();
     let mut run = StoreRun::default();
-    let mut prev_done = Instant::now();
     let mut groups = 0u64;
-    while !stop(groups) {
+    while between(groups)? {
+        let g0 = Instant::now();
         let rows: Vec<Vec<f64>> = (0..GROUP).map(|_| gen.next_row()).collect();
         let t0 = Instant::now();
-        run.late_us.push(us(t0 - prev_done));
+        run.late_us.push(us(t0 - g0));
         for row in &rows {
             let a = Instant::now();
             store.push_row(row).map_err(|e| format!("push_row: {e}"))?;
@@ -119,17 +109,6 @@ fn drive(
             t.record("store.push_row", t.at(t0), t.at(ts), Some(root), groups);
             t.record("store.sync", t.at(ts), t.at(t1), Some(root), groups);
         }
-        let set = store.set();
-        let t = set.tree(0).arrivals();
-        let mut ops: Vec<Op> = (0..POINTS_PER_COMMIT).map(|_| q.point()).collect();
-        ops.push(q.range());
-        ops.push(Op::TopK { k: TOP_K });
-        for op in ops {
-            let a = Instant::now();
-            let answer = read(set, &members, &op)?;
-            run.reads[op.kind()].push(us(a.elapsed()));
-            run.log.push((t, op, answer));
-        }
         if let Some(p) = plain.as_deref_mut() {
             for row in &rows {
                 let a = Instant::now();
@@ -137,7 +116,6 @@ fn drive(
                 run.plain_push_ns.push(a.elapsed().as_nanos() as f64);
             }
         }
-        prev_done = Instant::now();
     }
     let st = store.status();
     run.flushes = st.flushes;
@@ -145,78 +123,29 @@ fn drive(
     Ok(run)
 }
 
-fn read(set: &StreamSet, members: &[usize], op: &Op) -> Result<Answer, String> {
-    Ok(match *op {
-        Op::Point { stream, index } => Answer::Point(
-            set.tree(stream as usize)
-                .point_with(index as usize, QueryOptions::default())
-                .map_err(|e| format!("point: {e}"))?,
-        ),
-        Op::Range {
-            stream,
-            center,
-            radius,
-            newest,
-            oldest,
-        } => Answer::Range(
-            set.tree(stream as usize)
-                .range_query(&RangeQuery::new(
-                    center,
-                    radius,
-                    newest as usize,
-                    oldest as usize,
-                ))
-                .map_err(|e| format!("range: {e}"))?,
-        ),
-        Op::TopK { k } => Answer::TopK(local_top_k(set, members, k as usize).entries().to_vec()),
-        Op::Ingest => unreachable!("reads only"),
-    })
-}
-
-/// Replay the run's rows into a plain `StreamSet` and check every
-/// logged read and the final digest against it.
-fn verify(
-    config: SwatConfig,
-    seed: u64,
-    streams: usize,
-    run: &StoreRun,
-    digest: u64,
-    rep: &mut Report,
-) -> Result<(), String> {
+/// Replay the run's rows into a plain `StreamSet`; the synced store's
+/// digest must equal its.
+fn verify(config: SwatConfig, seed: u64, streams: usize, rows: u64, digest: u64, rep: &mut Report) {
     let mut oracle = StreamSet::new(config, streams);
     let mut gen = RowGen::new(seed, streams);
-    let members: Vec<usize> = (0..streams).collect();
-    for (t, op, got) in &run.log {
-        while oracle.tree(0).arrivals() < *t {
-            oracle.push_row(&gen.next_row());
-        }
-        let checked = match (read(&oracle, &members, op)?, got) {
-            (Answer::Point(want), Answer::Point(got)) => {
-                let resp = swat_daemon::Response::PointR {
-                    answer: (*got).into(),
-                };
-                oracle::check_point(&resp, want)
-            }
-            (Answer::Range(want), Answer::Range(got)) => {
-                let resp = swat_daemon::Response::RangeR {
-                    matches: got.iter().copied().map(Into::into).collect(),
-                };
-                oracle::check_range(&resp, want)
-            }
-            (Answer::TopK(want), Answer::TopK(got)) => oracle::check_coeffs(got, &want),
-            _ => Err("answer of the wrong kind".to_owned()),
-        };
-        if let Err(e) = checked {
-            rep.wrong(format!("store read at t={t}: {e}"));
-        }
-    }
-    while oracle.tree(0).arrivals() < run.rows {
+    for _ in 0..rows {
         oracle.push_row(&gen.next_row());
     }
     if let Err(e) = oracle::check_digest("synced store", digest, oracle.answers_digest()) {
         rep.wrong(e);
     }
-    Ok(())
+}
+
+/// Create a store in `dir`, timed.
+fn create_timed(
+    dir: &Path,
+    config: SwatConfig,
+    streams: usize,
+) -> Result<(DurableStore, f64), String> {
+    let t0 = Instant::now();
+    let store =
+        DurableStore::create(dir, config, streams).map_err(|e| format!("creating store: {e}"))?;
+    Ok((store, t0.elapsed().as_secs_f64()))
 }
 
 fn dir_bytes(dir: &Path) -> u64 {
@@ -296,13 +225,11 @@ pub fn probe(
     let mut store =
         DurableStore::create(&dir, config, streams).map_err(|e| format!("creating store: {e}"))?;
     let mut gen = RowGen::new(args.seed, streams);
-    let mut q = QueryGen::new(args.seed, streams, WINDOW);
     let mut plain = StreamSet::new(config, streams);
     let run = drive(
         &mut store,
         &mut gen,
-        &mut q,
-        |g| g >= PROBE_GROUPS,
+        |g| Ok(g < PROBE_GROUPS),
         None,
         Some(&mut plain),
     )?;
@@ -320,63 +247,60 @@ pub fn run(args: &Args) -> Result<Report, String> {
     rep.param("coeffs", COEFFS);
     rep.param("group_rows", GROUP);
     rep.param("store_options", format!("{:?}", StoreOptions::default()));
-    rep.param(
-        "reads_per_commit",
-        format!("{POINTS_PER_COMMIT} point, 1 range, 1 top-{TOP_K}"),
-    );
     let scratch = args.scratch();
     // Write back whatever an earlier run left dirty, so its I/O does not
     // land in this run's set-up.
     procs::sync_disks();
-    let mut setup_s = Vec::new();
-    let mut store: Option<DurableStore> = None;
-    for i in 0..SETUPS {
-        if let Some(old) = store.take() {
-            let dir = old.dir().to_owned();
-            drop(old);
-            let _ = std::fs::remove_dir_all(dir);
-        }
-        let dir = scratch.join(format!("store-{i}"));
-        let t0 = Instant::now();
-        let s = DurableStore::create(&dir, config, STREAMS)
-            .map_err(|e| format!("creating store: {e}"))?;
-        setup_s.push(t0.elapsed().as_secs_f64());
-        store = Some(s);
-    }
-    let mut store = store.expect("SETUPS > 0");
+    let (mut store, first) = create_timed(&scratch.join("store"), config, STREAMS)?;
+    let mut setup_s = vec![first];
     let mut gen = RowGen::new(args.seed, STREAMS);
-    let mut q = QueryGen::new(args.seed, STREAMS, WINDOW);
     let mut tracer = args.trace.then(Tracer::default);
     let me = [std::process::id()];
     let cpu0 = CpuSample::read(&me);
     let start = Instant::now();
     let seconds = args.seconds;
     let mut plain = args.trace.then(|| StreamSet::new(config, STREAMS));
+    let between = |_| {
+        let elapsed = start.elapsed().as_secs_f64();
+        // Set-up i (from 1) is due at (i - 1/2) / (SETUPS - 1) of the
+        // phase; its store is closed and deleted untimed.
+        let i = setup_s.len();
+        if i < SETUPS && elapsed >= seconds * (i as f64 - 0.5) / (SETUPS - 1) as f64 {
+            let dir = scratch.join(format!("store-setup-{i}"));
+            let (extra, t) = create_timed(&dir, config, STREAMS)?;
+            setup_s.push(t);
+            drop(extra);
+            let _ = std::fs::remove_dir_all(dir);
+        }
+        Ok(elapsed < seconds)
+    };
     let mut run = drive(
         &mut store,
         &mut gen,
-        &mut q,
-        |_| start.elapsed().as_secs_f64() >= seconds,
+        between,
         tracer.as_mut(),
         plain.as_mut(),
     )?;
     rep.run_s = start.elapsed().as_secs_f64();
-    if run.commit_us.is_empty() {
+    if run.commit_us.len() < CYCLE_GROUPS {
         return Err(format!(
-            "no {GROUP}-row commit group completed; raise --seconds"
+            "no {CYCLE_GROUPS}-group freeze cycle completed; raise --seconds"
         ));
     }
     let cpu = CpuSample::read(&me).since(&cpu0);
     let hwm_mib = vm_hwm_kib(me[0]).unwrap_or(0) as f64 / 1024.0;
-    rep.attempted = run.rows + run.log.len() as u64;
+    rep.attempted = run.rows;
     let (per_value, synced) = close_and_recover(store, args.trace, &mut rep)?;
-    verify(config, args.seed, STREAMS, &run, synced, &mut rep)?;
+    verify(config, args.seed, STREAMS, run.rows, synced, &mut rep);
 
     rep.e2e(
         "setup_s",
         median(&setup_s),
         "s",
-        format!("median of {SETUPS} store creations"),
+        format!(
+            "median of {} store creations over the run: {setup_s:.5?}",
+            setup_s.len()
+        ),
     );
     rep.ungated(
         "peak_rss_mb",
@@ -384,13 +308,19 @@ pub fn run(args: &Args) -> Result<Report, String> {
         "MiB",
         "VmHWM of the process holding the store".into(),
     );
-    rep.e2e_group_rate(GROUP, &run.commit_us);
+    let cycle_rows = (CYCLE_GROUPS * GROUP) as f64;
+    let rates: Vec<f64> = run
+        .commit_us
+        .chunks_exact(CYCLE_GROUPS)
+        .map(|c| cycle_rows / (c.iter().sum::<f64>() / 1e6))
+        .collect();
+    rep.ingest_rate(
+        &rates,
+        "freeze cycles (16 consecutive commit groups, 4096 rows) of their rows / their summed commit time (row generation excluded)",
+    );
     let mut push_us: Vec<f64> = run.push_ns.iter().map(|n| n / 1e3).collect();
     rep.latency("ingest", true, summarize(&mut push_us, 0.99));
-    for (kind, name) in [(1, "point"), (2, "range"), (3, "topk")] {
-        rep.latency(name, false, summarize(&mut run.reads[kind], 0.99));
-    }
-    rep.latency("commit", true, summarize(&mut run.commit_us, 0.99));
+    rep.latency("commit", false, summarize(&mut run.commit_us, 0.99));
 
     if let Some(mut tracer) = tracer {
         let kreq = run.rows as f64 / 1e3;
@@ -427,7 +357,9 @@ pub fn run(args: &Args) -> Result<Report, String> {
 }
 
 /// The daemon-layer model's input for this workload: the first groups'
-/// rows as ingests, interleaved with the same reads the run made.
+/// rows as ingests, each group followed by a few reads. The run itself
+/// reads nothing; the reads give the query layers values here too, so
+/// the traced result line has the same keys on every workload.
 fn replay_ops(seed: u64) -> Vec<(Op, Option<Vec<f64>>)> {
     let mut gen = RowGen::new(seed, STREAMS);
     let mut q = QueryGen::new(seed, STREAMS, WINDOW);
@@ -436,7 +368,7 @@ fn replay_ops(seed: u64) -> Vec<(Op, Option<Vec<f64>>)> {
         for _ in 0..GROUP {
             ops.push((Op::Ingest, Some(gen.next_row())));
         }
-        for _ in 0..POINTS_PER_COMMIT {
+        for _ in 0..4 {
             ops.push((q.point(), None));
         }
         ops.push((q.range(), None));

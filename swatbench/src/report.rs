@@ -28,8 +28,9 @@ pub struct Report {
     /// End-to-end metrics (untraced run).
     pub e2e: Vec<Metric>,
     /// Metrics of the untraced run that are printed and saved but not in
-    /// the result line: every tail, the query medians and peak memory
-    /// (see README: too noisy on the reference host to hold any bound).
+    /// the result line: ingest rates, commit and query medians, every
+    /// tail and peak memory (see README: too noisy on the reference host
+    /// to hold any bound).
     pub ungated: Vec<Metric>,
     /// Per-layer metrics (traced run).
     pub layers: Vec<Metric>,
@@ -81,15 +82,15 @@ impl Report {
         self.ungated.push(p99);
     }
 
-    /// Record `ingest.rows_per_s` from commit-group latencies (µs): rows
-    /// per second over the median group.
-    pub fn e2e_group_rate(&mut self, group_rows: usize, commits_us: &[f64]) {
-        let rate = group_rows as f64 / (median(commits_us) / 1e6);
-        let note = format!(
-            "{group_rows} rows / median commit group, n={}",
-            commits_us.len()
-        );
-        self.e2e("ingest.rows_per_s", rate, "rows/s", note);
+    /// Record `ingest.rows_per_s`: the median of `rates`, each the rows
+    /// acknowledged in one part of the run ÷ the time spent ingesting
+    /// them; `how` says what the parts are.
+    pub fn ingest_rate(&mut self, rates: &[f64], how: &str) {
+        let mut note = format!("median over {} {how}", rates.len());
+        if rates.len() <= 32 {
+            let _ = write!(note, ": {rates:.0?}");
+        }
+        self.ungated("ingest.rows_per_s", median(rates), "rows/s", note);
     }
 
     /// Record a per-layer metric.
@@ -335,11 +336,14 @@ pub fn compare(a: &Path, b: &Path) -> Result<(), String> {
         }
     }
     println!("{:<40} {:>14} {:>14} {:>8}", "metric", "A", "B", "B/A");
-    for (k, va) in ra.iter().filter(|(k, _)| k.starts_with("metric.")) {
+    for (k, va) in &ra {
+        let Some(("metric" | "ungated", name)) = k.split_once('.') else {
+            continue;
+        };
         let Some(vb) = rb.get(k) else { continue };
         let (x, y) = (va.parse::<f64>(), vb.parse::<f64>());
         if let (Ok(x), Ok(y)) = (x, y) {
-            println!("{:<40} {x:>14.4} {y:>14.4} {:>8.3}", &k[7..], y / x);
+            println!("{name:<40} {x:>14.4} {y:>14.4} {:>8.3}", y / x);
         }
     }
     Ok(())

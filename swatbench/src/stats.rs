@@ -53,6 +53,47 @@ pub fn median(values: &[f64]) -> f64 {
     summarize(&mut v, 0.5).map_or(f64::NAN, |s| s.p50)
 }
 
+/// Rows acknowledged and the time spent ingesting them, in equal slices
+/// of a run by when the work started. The rate is the median over the
+/// slices of rows ÷ time: a stall that recurs through the run lowers
+/// every slice, while one slow moment of a shared host lowers only one.
+#[derive(Debug, Default)]
+pub struct RateSlices {
+    seconds: f64,
+    rows: Vec<u64>,
+    busy_us: Vec<f64>,
+}
+
+impl RateSlices {
+    /// `slices` slices of a `seconds`-long run.
+    pub fn new(slices: usize, seconds: f64) -> Self {
+        RateSlices {
+            seconds,
+            rows: vec![0; slices],
+            busy_us: vec![0.0; slices],
+        }
+    }
+
+    /// `rows` acknowledged after `busy_us` of ingest work that began
+    /// `at_s` seconds into the run.
+    pub fn add(&mut self, at_s: f64, rows: u64, busy_us: f64) {
+        let n = self.rows.len();
+        let i = ((at_s / self.seconds * n as f64) as usize).min(n - 1);
+        self.rows[i] += rows;
+        self.busy_us[i] += busy_us;
+    }
+
+    /// Rows per second in each slice that saw any ingest work.
+    pub fn rates(&self) -> Vec<f64> {
+        self.rows
+            .iter()
+            .zip(&self.busy_us)
+            .filter(|(_, &us)| us > 0.0)
+            .map(|(&r, &us)| r as f64 / (us / 1e6))
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,5 +140,40 @@ mod tests {
         assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
         assert_eq!(median(&[4.0, 1.0, 3.0, 2.0]), 2.0);
         assert!(median(&[]).is_nan());
+    }
+
+    /// Ten seconds of 100-row groups, 10 ms each; every `stall_every`th
+    /// group stalls for `stall_ms` extra, and the whole 4th second is
+    /// `slow_second` times slower.
+    fn rate(stall_every: usize, stall_ms: f64, slow_second: f64) -> f64 {
+        let mut r = RateSlices::new(10, 10.0);
+        let mut at = 0.0;
+        for g in 0.. {
+            let mut us = 10_000.0;
+            if g % stall_every == stall_every - 1 {
+                us += stall_ms * 1e3;
+            }
+            if (3.0..4.0).contains(&at) {
+                us *= slow_second;
+            }
+            if at >= 10.0 {
+                break;
+            }
+            r.add(at, 100, us);
+            at += us / 1e6;
+        }
+        median(&r.rates())
+    }
+
+    #[test]
+    fn rate_counts_recurring_stalls_but_not_one_slow_slice() {
+        let base = rate(usize::MAX, 0.0, 1.0);
+        assert!((base - 10_000.0).abs() < 1e-6, "{base}");
+        // A 50 ms stall on every 16th group: below the median group
+        // time, but 1/3 less throughput, and the rate shows it.
+        let stalled = rate(16, 50.0, 1.0);
+        assert!(stalled < 0.8 * base, "{stalled} vs {base}");
+        // One second at a quarter speed leaves the median slice alone.
+        assert_eq!(rate(usize::MAX, 0.0, 4.0), base);
     }
 }
