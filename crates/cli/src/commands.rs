@@ -631,7 +631,7 @@ pub fn recover(a: &Args) -> Result<(), String> {
     let dir = a
         .get("dir")
         .ok_or("--dir is required (the store directory)")?;
-    let (store, report) =
+    let (mut store, report) =
         RecoveryManager::recover(dir).map_err(|e| PathError::recovering(dir, e))?;
     match report.checkpoint_t {
         Some(t) => println!("base checkpoint:      t = {t}"),

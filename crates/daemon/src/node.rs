@@ -511,7 +511,7 @@ impl ClusterNode {
                 if let Err(r) = self.fence_term(*term, term_owner(self.nodes, *term)) {
                     return r;
                 }
-                match self.holdings.get(&(*shard as usize)) {
+                match self.holdings.get_mut(&(*shard as usize)) {
                     Some(h) if h.primary => {
                         let (arrivals, applied, snapshot) = h.rep.export();
                         Response::ShardStateR {

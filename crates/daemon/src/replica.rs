@@ -36,7 +36,9 @@ enum Backing {
 }
 
 impl Backing {
-    fn set(&self) -> &StreamSet {
+    /// The trees, with every ingested row applied (a durable store
+    /// settles its pending rows here).
+    fn set(&mut self) -> &StreamSet {
         match self {
             Backing::Memory(s) => s,
             Backing::Durable(d) => d.set(),
@@ -145,7 +147,7 @@ impl ReplicaNode {
     /// Export this replica's full shard state — `(arrivals, applied
     /// write ids ascending, snapshot bytes)` — the payload a leader
     /// ships to seed a standby.
-    pub fn export(&self) -> (u64, Vec<u64>, Vec<u8>) {
+    pub fn export(&mut self) -> (u64, Vec<u64>, Vec<u8>) {
         let mut applied: Vec<u64> = self.applied.iter().copied().collect();
         applied.sort_unstable();
         (self.arrivals, applied, self.backing.set().snapshot())
@@ -172,14 +174,17 @@ impl ReplicaNode {
     }
 
     /// The underlying stream set (read-only).
-    pub fn set(&self) -> &StreamSet {
+    pub fn set(&mut self) -> &StreamSet {
         self.backing.set()
     }
 
     /// Order-sensitive digest over the owned trees — the oracle
     /// comparison hook.
     pub fn answers_digest(&self) -> u64 {
-        self.backing.set().answers_digest()
+        match &self.backing {
+            Backing::Memory(s) => s.answers_digest(),
+            Backing::Durable(d) => d.answers_digest(),
+        }
     }
 
     /// Force WAL + checkpoint to disk (durable backing only). Called by

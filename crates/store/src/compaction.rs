@@ -8,6 +8,16 @@
 //! the merged end — rows are replayed in arrival order, so the last
 //! input's snapshot is bit-identical to replaying all of them).
 //!
+//! ## Size tiers
+//!
+//! Only segments of similar size merge: a run qualifies when its largest
+//! input holds less than [`TIER_RATIO`] times the rows of its smallest. A
+//! stream of `freeze_rows` segments therefore merges into tiers of
+//! `fanin`, `fanin²`, … times that size, and each row is rewritten at
+//! most once per tier — `⌈log_fanin(max_rows / freeze_rows)⌉` times in
+//! all, rather than once per merge as when a growing segment keeps
+//! absorbing its small neighbours.
+//!
 //! ## Crash safety
 //!
 //! The merged segment is written atomically under its own name; the
@@ -28,10 +38,16 @@ use crate::io;
 use crate::manifest::{self, Manifest, SegmentEntry};
 use crate::segment::{self, segment_name, SegmentData};
 
+/// Bound (exclusive) on the ratio between the row counts of a merge's
+/// inputs. Below every `fanin >= 2`, so a merged segment never joins the
+/// tier it came from.
+const TIER_RATIO: u64 = 2;
+
 /// The window of consecutive manifest entries the policy wants merged:
-/// the oldest run of `fanin` row-bearing segments whose combined rows
-/// stay within `max_rows`. Nothing is proposed until the manifest holds
-/// at least `2 * fanin` segments, so the hot tail is left alone.
+/// the oldest run of `fanin` row-bearing segments of one size tier (see
+/// [`TIER_RATIO`]) whose combined rows stay within `max_rows`. Nothing is
+/// proposed until the manifest holds at least `2 * fanin` segments, so
+/// the hot tail is left alone.
 pub fn plan_window(
     entries: &[SegmentEntry],
     fanin: usize,
@@ -42,7 +58,7 @@ pub fn plan_window(
         return None;
     }
     'starts: for start in 0..=(entries.len() - fanin) {
-        let mut total = 0u64;
+        let (mut total, mut least, mut most) = (0u64, u64::MAX, 0u64);
         for e in &entries[start..start + fanin] {
             let rows = e.end_t - e.start_t;
             if rows == 0 {
@@ -51,8 +67,10 @@ pub fn plan_window(
                 continue 'starts;
             }
             total += rows;
+            least = least.min(rows);
+            most = most.max(rows);
         }
-        if total <= max_rows {
+        if total <= max_rows && most < TIER_RATIO * least {
             return Some(start..start + fanin);
         }
     }
@@ -198,6 +216,49 @@ mod tests {
         // Snapshot-only anchors are never rewritten.
         let anchored = [e(0, 0), e(0, 5), e(5, 10), e(10, 15)];
         assert_eq!(plan_window(&anchored, 2, 100), Some(1..3));
+    }
+
+    /// Feed `flushes` freeze-sized segments through the policy the way
+    /// the flusher does (append one, then compact until nothing
+    /// qualifies) and count how often each row is rewritten.
+    fn rewrites_per_row(flushes: u64, freeze: u64, fanin: usize, max_rows: u64) -> Vec<u32> {
+        let e = |s: u64, t: u64| SegmentEntry {
+            name: segment_name(s, t),
+            start_t: s,
+            end_t: t,
+        };
+        let mut entries = Vec::new();
+        let mut rewrites = vec![0u32; (flushes * freeze) as usize];
+        for f in 0..flushes {
+            entries.push(e(f * freeze, (f + 1) * freeze));
+            while let Some(w) = plan_window(&entries, fanin, max_rows) {
+                let (start_t, end_t) = (entries[w.start].start_t, entries[w.end - 1].end_t);
+                for r in &mut rewrites[start_t as usize..end_t as usize] {
+                    *r += 1;
+                }
+                entries.splice(w, [e(start_t, end_t)]);
+            }
+        }
+        rewrites
+    }
+
+    #[test]
+    fn size_tiers_bound_rewrites_per_row() {
+        for (freeze, fanin, max_rows) in [(8u64, 4usize, 512u64), (8, 2, 256), (4, 3, 200)] {
+            // ⌈log_fanin(max_rows / freeze)⌉, by integer powers.
+            let mut bound = 0u32;
+            while freeze * (fanin as u64).pow(bound) < max_rows {
+                bound += 1;
+            }
+            let rewrites = rewrites_per_row(300, freeze, fanin, max_rows);
+            let worst = rewrites.iter().copied().max().unwrap();
+            assert!(
+                worst <= bound,
+                "freeze {freeze} fanin {fanin} max {max_rows}: a row was rewritten \
+                 {worst} times, bound {bound}"
+            );
+            assert!(worst > 0, "the policy must merge something");
+        }
     }
 
     #[test]

@@ -10,14 +10,15 @@
 //! and **no caller ever blocks on an `fsync`**:
 //!
 //! * [`store::DurableStore`] — the live object: every arrival row is a
-//!   checksummed WAL record plus an in-memory tree update; at every
+//!   checksummed WAL record plus an in-memory tree update, applied in
+//!   blocks through the blocked ingest kernel; at every
 //!   `freeze_rows` boundary the accumulated rows freeze and a background
 //!   thread serializes them into an immutable, bloom-guarded
 //!   [`segment`] with an embedded snapshot, committing via the
 //!   [`manifest`] and only then pruning the covered WAL prefix.
-//! * [`compaction`] — background k-way merge of adjacent segments, with
-//!   the manifest rename as the single commit point; a crash at any step
-//!   leaves only reclaimable orphans, never lost rows.
+//! * [`compaction`] — background k-way merge of adjacent segments of one
+//!   size tier, with the manifest rename as the single commit point; a
+//!   crash at any step leaves only reclaimable orphans, never lost rows.
 //! * [`recovery::RecoveryManager`] — rebuilds from the newest verifiable
 //!   manifest: base snapshot from the newest intact segment, newer
 //!   segments' verified rows rolled forward, then the WAL chain replayed

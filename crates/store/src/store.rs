@@ -12,12 +12,25 @@
 //! ```
 //!
 //! [`DurableStore::push_row`] appends a checksummed record to the live
-//! WAL (buffered) and applies the row to the in-memory trees; every
+//! WAL (buffered) and to the in-memory row tail; the trees take the rows
+//! later, a block at a time (see "Pending rows" below). Every
 //! `freeze_rows` arrivals the active generation is *frozen* and handed to
 //! a background flush thread, which serializes it into an immutable,
 //! CRC-framed, bloom-guarded segment, commits a new manifest (fsync →
 //! atomic rename → directory fsync), and only then prunes the WAL prefix
 //! the segment now covers. No caller ever blocks on that fsync.
+//!
+//! ## Pending rows
+//!
+//! The trees lag the pushed clock: rows in the active generation beyond
+//! the trees' arrival clock are *pending*. They are applied ("settled")
+//! with [`StreamSet::push_rows`] — the blocked cascade, bit-identical to
+//! one `push_row` per row — once [`SETTLE_VALUES`] values are pending,
+//! and before every freeze, checkpoint and read of the trees
+//! ([`DurableStore::set`]). [`DurableStore::answers_digest`] digests a
+//! settled copy when rows are pending, so no caller ever observes the
+//! lag; clocks ([`DurableStore::arrivals`], [`TierStatus::arrivals`])
+//! count pushed rows.
 //!
 //! ## Degradation, not death
 //!
@@ -52,6 +65,15 @@ use crate::wal::{self, WalHeader};
 /// Flush the buffered WAL to the kernel once this many bytes accumulate
 /// (an `fsync` still only happens in [`DurableStore::sync`]).
 const WAL_FLUSH_BYTES: usize = 64 * 1024;
+
+/// Pending values that trigger a settle: 256 rows at 64 streams, enough
+/// for the blocked cascade to run whole aligned chunks, small enough
+/// that the transposed block stays in cache.
+const SETTLE_VALUES: usize = 1 << 14;
+
+/// A frozen generation's rows, shared between the store's tail and the
+/// flusher's queue so the backlog is held once.
+type Rows = Arc<Vec<f64>>;
 
 /// Whether `dir` holds store files (a segment, manifest, WAL generation,
 /// or legacy checkpoint). Unrelated files — e.g. the [`crate::meta`]
@@ -117,7 +139,7 @@ pub enum StoreHealth {
 /// A point-in-time snapshot of the tiered store's shape.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TierStatus {
-    /// Arrivals ingested per stream (the in-memory clock).
+    /// Arrivals ingested per stream (the pushed clock).
     pub arrivals: u64,
     /// Arrivals durably captured by segments (the manifest clock).
     pub covered_t: u64,
@@ -146,7 +168,7 @@ type SharedView = Arc<Mutex<Shared>>;
 /// Work items for the flush thread.
 enum Job {
     /// Serialize the frozen generation `[start_t, start_t + rows)`.
-    Flush { start_t: u64, rows: Vec<f64> },
+    Flush { start_t: u64, rows: Rows },
     /// Reply once every pending flush has been attempted: `Ok` when the
     /// segment tier is fully caught up, `Err(last_error)` otherwise.
     Barrier(SyncSender<Result<(), String>>),
@@ -162,6 +184,7 @@ pub struct DurableStore {
     set: StreamSet,
     opts: StoreOptions,
     wal: WalWriter,
+    /// First arrival of the active generation (the last freeze point).
     wal_base: u64,
     /// Sealed, not-yet-fsynced WAL generation handles; [`Self::sync`]
     /// drains them oldest-first so the ack order matches arrival order.
@@ -171,13 +194,14 @@ pub struct DurableStore {
     /// segment tier, so [`Self::sync`] must not ack until
     /// `covered_t` reaches it.
     wal_hole: Option<u64>,
-    /// Rows `[tail_base, arrivals)`, flattened — the active + frozen
-    /// generations that no committed segment carries yet. Serves
-    /// [`Self::history`] over the uncovered span and is the source of
-    /// frozen-generation row copies.
-    tail: Vec<f64>,
-    tail_base: u64,
-    rows_since_freeze: u64,
+    /// Frozen generations no committed segment covers yet, oldest
+    /// first, as `(start_t, rows)`; each buffer is the one the flusher
+    /// was handed.
+    frozen: VecDeque<(u64, Rows)>,
+    /// Rows `[wal_base, pushed)` of the active generation, flattened.
+    /// The trees have applied a prefix of them; the rest are pending.
+    /// With `frozen`, serves [`Self::history`] over the uncovered span.
+    active: Vec<f64>,
     shared: SharedView,
     jobs: Option<Sender<Job>>,
     flusher: Option<JoinHandle<()>>,
@@ -274,9 +298,8 @@ impl DurableStore {
             wal_base: base,
             sealed: Vec::new(),
             wal_hole: None,
-            tail: Vec::new(),
-            tail_base: base,
-            rows_since_freeze: 0,
+            frozen: VecDeque::new(),
+            active: Vec::new(),
             shared,
             jobs: Some(tx),
             flusher: Some(handle),
@@ -284,9 +307,10 @@ impl DurableStore {
     }
 
     /// Ingest one synchronized row: a checksummed WAL record is buffered
-    /// before the in-memory trees see the values. Never blocks on disk —
-    /// call [`sync`](Self::sync) for the durability acknowledgment. The
-    /// only errors are row validation; I/O trouble surfaces at `sync`.
+    /// and the row joins the pending tail; the trees apply it with the
+    /// next settled block. Never blocks on disk — call
+    /// [`sync`](Self::sync) for the durability acknowledgment. The only
+    /// errors are row validation; I/O trouble surfaces at `sync`.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), StoreError> {
         if row.len() != self.set.streams() {
             return Err(StoreError::BadRow {
@@ -297,16 +321,31 @@ impl DurableStore {
         if let Some(stream) = row.iter().position(|v| !v.is_finite()) {
             return Err(StoreError::BadValue { stream });
         }
-        let mut record = Vec::with_capacity(wal::record_len(row.len()));
-        wal::encode_record(&mut record, row);
-        self.wal.append(&record);
-        self.set.push_row(row);
-        self.tail.extend_from_slice(row);
-        self.rows_since_freeze += 1;
-        if self.opts.freeze_rows > 0 && self.rows_since_freeze >= self.opts.freeze_rows {
+        self.wal.append_record(row);
+        self.active.extend_from_slice(row);
+        if self.active.len() - self.settled_len() >= SETTLE_VALUES {
+            self.settle();
+        }
+        if self.opts.freeze_rows > 0 && self.rows_since_freeze() >= self.opts.freeze_rows {
             self.freeze();
         }
         Ok(())
+    }
+
+    /// Values of `active` the trees have already applied.
+    fn settled_len(&self) -> usize {
+        ((self.set.tree(0).arrivals() - self.wal_base) as usize) * self.set.streams()
+    }
+
+    /// Apply the pending rows to the trees as one block.
+    fn settle(&mut self) {
+        let from = self.settled_len();
+        self.set.push_rows(&self.active[from..]);
+    }
+
+    /// The pushed clock: every row accepted so far, settled or not.
+    fn pushed(&self) -> u64 {
+        self.wal_base + (self.active.len() / self.set.streams()) as u64
     }
 
     /// Freeze the active generation: hand its rows to the background
@@ -314,7 +353,8 @@ impl DurableStore {
     /// the flush and does not `fsync` anything. No-op when the active
     /// generation is empty.
     pub fn freeze(&mut self) {
-        let end = self.set.tree(0).arrivals();
+        self.settle();
+        let end = self.pushed();
         let start = self.wal_base;
         if end == start {
             return;
@@ -342,22 +382,20 @@ impl DurableStore {
                 // spanning several freezes is merely untidy.
             }
         }
-        let streams = self.set.streams();
-        let skip = ((start - self.tail_base) as usize) * streams;
-        let rows = self.tail[skip..].to_vec();
-        debug_assert_eq!(rows.len(), ((end - start) as usize) * streams);
+        let next = Vec::with_capacity(self.active.len());
+        let rows: Rows = Arc::new(std::mem::replace(&mut self.active, next));
         if let Some(jobs) = &self.jobs {
             let _ = jobs.send(Job::Flush {
                 start_t: start,
-                rows,
+                rows: rows.clone(),
             });
         }
+        self.frozen.push_back((start, rows));
         self.wal_base = end;
-        self.rows_since_freeze = 0;
         self.trim_tail();
     }
 
-    /// Drop tail rows the segment tier has durably covered.
+    /// Drop frozen generations the segment tier has durably covered.
     fn trim_tail(&mut self) {
         // invariant: the mutex is only held for short field copies; a
         // poisoned lock means the flush thread panicked, which no
@@ -368,10 +406,12 @@ impl DurableStore {
             .expect("flush thread panicked")
             .manifest
             .covered_t;
-        if covered > self.tail_base {
-            let cut = ((covered - self.tail_base) as usize) * self.set.streams();
-            self.tail.drain(..cut.min(self.tail.len()));
-            self.tail_base = covered;
+        let streams = self.set.streams();
+        while let Some((start, rows)) = self.frozen.front() {
+            if start + (rows.len() / streams) as u64 > covered {
+                break;
+            }
+            self.frozen.pop_front();
         }
     }
 
@@ -410,7 +450,7 @@ impl DurableStore {
                 }
             }
             Err(e) => {
-                if covered >= self.set.tree(0).arrivals() {
+                if covered >= self.pushed() {
                     // Everything acked is in fsynced segments; the broken
                     // WAL generation no longer guards any data.
                     self.sealed.clear();
@@ -437,7 +477,7 @@ impl DurableStore {
     /// WAL. Returns [`StoreError::Degraded`] when parked generations
     /// could not be flushed (acked data is still safe — in the WAL).
     pub fn checkpoint(&mut self) -> Result<(), StoreError> {
-        self.freeze();
+        self.freeze(); // settles the trees first
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         if let Some(jobs) = &self.jobs {
             let _ = jobs.send(Job::Barrier(reply_tx));
@@ -471,7 +511,7 @@ impl DurableStore {
                 want: streams,
             });
         }
-        let to = to.min(self.set.tree(0).arrivals());
+        let to = to.min(self.pushed());
         if from >= to {
             return Ok(Vec::new());
         }
@@ -482,7 +522,11 @@ impl DurableStore {
                 .manifest
                 .clone()
         };
-        let floor = m.entries.first().map_or(self.tail_base, |e| e.start_t);
+        let tail_base = self
+            .frozen
+            .front()
+            .map_or(self.wal_base, |(start, _)| *start);
+        let floor = m.entries.first().map_or(tail_base, |e| e.start_t);
         if from < floor {
             return Err(StoreError::NoHistory { t: from });
         }
@@ -507,9 +551,12 @@ impl DurableStore {
                 out[(t - from) as usize] = rows.values[idx];
             }
         }
-        for t in self.tail_base.max(from)..to {
-            let idx = ((t - self.tail_base) as usize) * streams + stream;
-            out[(t - from) as usize] = self.tail[idx];
+        let active = (self.wal_base, &self.active);
+        for (start, rows) in self.frozen.iter().map(|(s, r)| (*s, &**r)).chain([active]) {
+            let end = start + (rows.len() / streams) as u64;
+            for t in start.max(from)..end.min(to) {
+                out[(t - from) as usize] = rows[((t - start) as usize) * streams + stream];
+            }
         }
         Ok(out)
     }
@@ -530,7 +577,7 @@ impl DurableStore {
             StoreHealth::Healthy
         };
         TierStatus {
-            arrivals: self.set.tree(0).arrivals(),
+            arrivals: self.pushed(),
             covered_t: s.manifest.covered_t,
             segments: s.manifest.entries.len(),
             flushes: s.flushes,
@@ -544,8 +591,10 @@ impl DurableStore {
         self.status().health
     }
 
-    /// The summarized streams.
-    pub fn set(&self) -> &StreamSet {
+    /// The summarized streams, with every pushed row applied (pending
+    /// rows are settled first).
+    pub fn set(&mut self) -> &StreamSet {
+        self.settle();
         &self.set
     }
 
@@ -554,20 +603,29 @@ impl DurableStore {
         &self.dir
     }
 
-    /// Arrivals ingested per stream (the durable clock).
+    /// Arrivals ingested per stream (the pushed clock, pending rows
+    /// included).
     pub fn arrivals(&self) -> u64 {
-        self.set.tree(0).arrivals()
+        self.pushed()
     }
 
     /// Rows in the active (not yet frozen) generation.
     pub fn rows_since_freeze(&self) -> u64 {
-        self.rows_since_freeze
+        self.pushed() - self.wal_base
     }
 
-    /// The answers-identity digest of the underlying [`StreamSet`] — the
-    /// witness that recovery was bit-identical.
+    /// The answers-identity digest of the underlying [`StreamSet`] with
+    /// every pushed row applied — the witness that recovery was
+    /// bit-identical. With rows pending, a settled copy is digested and
+    /// the store itself is left as it is.
     pub fn answers_digest(&self) -> u64 {
-        self.set.answers_digest()
+        let from = self.settled_len();
+        if from == self.active.len() {
+            return self.set.answers_digest();
+        }
+        let mut settled = self.set.clone();
+        settled.push_rows(&self.active[from..]);
+        settled.answers_digest()
     }
 
     /// Simulate a process kill: unflushed WAL buffer lost, both fault
@@ -619,6 +677,19 @@ impl WalWriter {
             return;
         }
         self.buf.extend_from_slice(bytes);
+        self.flush_if_full();
+    }
+
+    /// Encode `row`'s record straight into the buffer.
+    fn append_record(&mut self, row: &[f64]) {
+        if self.broken.is_some() {
+            return;
+        }
+        wal::encode_record(&mut self.buf, row);
+        self.flush_if_full();
+    }
+
+    fn flush_if_full(&mut self) {
         if self.buf.len() >= WAL_FLUSH_BYTES {
             let _ = self.flush();
         }
@@ -697,7 +768,7 @@ struct Flusher {
     shadow: StreamSet,
     faults: Arc<IoFaults>,
     shared: SharedView,
-    parked: VecDeque<(u64, Vec<f64>)>,
+    parked: VecDeque<(u64, Rows)>,
     fanin: usize,
     max_rows: u64,
     backoff: Duration,
@@ -768,9 +839,7 @@ impl Flusher {
         let at = self.shadow.tree(0).arrivals();
         if at < end_t {
             let skip = ((at - start_t) as usize) * streams;
-            for row in rows[skip..].chunks_exact(streams) {
-                self.shadow.push_row(row);
-            }
+            self.shadow.push_rows(&rows[skip..]);
         }
         let name = segment_name(start_t, end_t);
         let bytes = segment::encode(start_t, rows, &self.shadow);

@@ -143,6 +143,7 @@ pub fn record_len(streams: usize) -> usize {
 
 /// Append one checksummed record for `row` to `out`.
 pub fn encode_record(out: &mut Vec<u8>, row: &[f64]) {
+    out.reserve(record_len(row.len()));
     let start = out.len();
     out.extend_from_slice(&[0; 4]);
     for &v in row {

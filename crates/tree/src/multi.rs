@@ -29,13 +29,16 @@ use crate::tree::{digest, SwatTree};
 /// let rho = set.correlation(0, 1, 64).unwrap();
 /// assert!(rho > 0.99);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StreamSet {
     /// The shared configuration, held by the set itself so that a set
     /// with zero streams still knows its window shape (the trees each
     /// carry a copy).
     config: SwatConfig,
     trees: Vec<SwatTree>,
+    /// [`StreamSet::push_rows`]'s transpose buffer, reused across calls
+    /// (not part of the set's value: never snapshotted or digested).
+    columns: Vec<f64>,
 }
 
 impl StreamSet {
@@ -51,6 +54,7 @@ impl StreamSet {
         StreamSet {
             config,
             trees: (0..streams).map(|_| SwatTree::new(config)).collect(),
+            columns: Vec::new(),
         }
     }
 
@@ -82,6 +86,44 @@ impl StreamSet {
         assert_eq!(row.len(), self.trees.len(), "row arity mismatch");
         for (tree, &v) in self.trees.iter_mut().zip(row) {
             tree.push(v);
+        }
+    }
+
+    /// Feed a row-major block of synchronized rows: `rows` holds
+    /// `rows.len() / streams()` rows back to back, each laid out as for
+    /// [`StreamSet::push_row`].
+    ///
+    /// The block is transposed once into a reused column buffer and each
+    /// stream's column goes through the blocked cascade
+    /// ([`SwatTree::push_batch`]), so the final state is bit-identical to
+    /// calling `push_row` per row at a fraction of the cost. An empty
+    /// set accepts only an empty block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not a multiple of `streams()` (or is
+    /// nonzero on an empty set), or if any value is non-finite (checked
+    /// per column before that column is ingested).
+    pub fn push_rows(&mut self, rows: &[f64]) {
+        let streams = self.trees.len();
+        if streams == 0 {
+            assert!(rows.is_empty(), "row arity mismatch");
+            return;
+        }
+        assert_eq!(rows.len() % streams, 0, "row arity mismatch");
+        let n = rows.len() / streams;
+        if n == 0 {
+            return;
+        }
+        self.columns.clear();
+        self.columns.resize(rows.len(), 0.0);
+        for (r, row) in rows.chunks_exact(streams).enumerate() {
+            for (s, &v) in row.iter().enumerate() {
+                self.columns[s * n + r] = v;
+            }
+        }
+        for (tree, col) in self.trees.iter_mut().zip(self.columns.chunks_exact(n)) {
+            tree.push_batch(col);
         }
     }
 
@@ -485,7 +527,11 @@ impl StreamSet {
                 offset: c.offset(),
             });
         }
-        Ok(StreamSet { config, trees })
+        Ok(StreamSet {
+            config,
+            trees,
+            columns: Vec::new(),
+        })
     }
 
     /// Order-sensitive digest over every stream's

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 use swat_tree::ingest::reference;
-use swat_tree::{IngestScratch, SwatConfig, SwatTree};
+use swat_tree::{IngestScratch, StreamSet, SwatConfig, SwatTree};
 
 /// Assert two trees are observably identical, node by node (clearer
 /// failure messages than the digest alone), then cross-check the digest.
@@ -195,6 +195,77 @@ proptest! {
         reference::push_batch(&mut frozen, &all);
         assert_identical(&restored, &frozen, &format!("n={n} k={k} head={}", head.len()));
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `StreamSet::push_rows` over arbitrary row blocks — empty blocks,
+    /// single rows, blocks starting at unaligned clocks and blocks
+    /// crossing level boundaries — leaves every stream's tree node for
+    /// node identical to `push_row` called once per row.
+    #[test]
+    fn push_rows_matches_push_row_per_row(
+        (log_n, k, streams, rows, blocks) in (2u32..=6).prop_flat_map(|log_n| {
+            let n = 1usize << log_n;
+            (1usize..5, 0usize..(3 * n + 9)).prop_flat_map(move |(streams, rows)| {
+                (
+                    Just(log_n),
+                    prop_oneof![Just(1usize), Just(3), Just(4), Just(8)],
+                    Just(streams),
+                    values(streams * rows),
+                    prop::collection::vec(0usize..=(n + 3), 0..16),
+                )
+            })
+        })
+    ) {
+        let n = 1usize << log_n;
+        let config = SwatConfig::with_coefficients(n, k).unwrap();
+        let mut blocked = StreamSet::new(config, streams);
+        let mut rest: &[f64] = &rows;
+        for &b in &blocks {
+            let cut = (b * streams).min(rest.len());
+            blocked.push_rows(&rest[..cut]);
+            rest = &rest[cut..];
+        }
+        blocked.push_rows(rest);
+        let mut rowed = StreamSet::new(config, streams);
+        for row in rows.chunks_exact(streams) {
+            rowed.push_row(row);
+        }
+        for s in 0..streams {
+            assert_identical(
+                blocked.tree(s),
+                rowed.tree(s),
+                &format!("n={n} k={k} streams={streams} stream={s} blocks={blocks:?}"),
+            );
+        }
+        prop_assert_eq!(blocked.answers_digest(), rowed.answers_digest());
+    }
+}
+
+/// A set with zero streams takes an empty block as a no-op and refuses
+/// a non-empty one, like `push_row`.
+#[test]
+fn push_rows_on_a_zero_stream_set() {
+    let config = SwatConfig::with_coefficients(16, 4).unwrap();
+    let mut set = StreamSet::new(config, 0);
+    set.push_rows(&[]);
+    assert_eq!(
+        set.answers_digest(),
+        StreamSet::new(config, 0).answers_digest()
+    );
+    let refused = std::panic::catch_unwind(move || set.push_rows(&[1.0]));
+    assert!(refused.is_err(), "a value for no stream must be refused");
+}
+
+/// A block whose length is not a whole number of rows is refused
+/// before any tree changes.
+#[test]
+#[should_panic(expected = "row arity mismatch")]
+fn push_rows_rejects_a_partial_row() {
+    let config = SwatConfig::with_coefficients(16, 4).unwrap();
+    StreamSet::new(config, 3).push_rows(&[1.0, 2.0, 3.0, 4.0]);
 }
 
 /// Deterministic large case: multiple 1024-value chunks, plus unaligned

@@ -18,6 +18,10 @@ echo "== workspace tests (every crate, release binaries for the smokes) =="
 cargo test -q --workspace
 cargo build --release -p swat-cli # swat + swatd binaries for the daemon smoke
 
+echo "== benchmark build + tests (swatbench must build against the current API) =="
+cargo build --release --manifest-path swatbench/Cargo.toml
+cargo test --manifest-path swatbench/Cargo.toml
+
 echo "== ingest equivalence (blocked path vs frozen scalar reference) =="
 cargo test -q -p swat-tree --test ingest_equivalence
 cargo test -q -p swat-tree --test ingest_alloc
@@ -150,4 +154,4 @@ grep -q '"recovered": true' target/failover-smoke.json
 grep -q '"zero_wrong_answers": true' target/failover-smoke.json
 echo "failover smoke clean (target/failover-smoke.json)"
 
-echo "OK: fmt, clippy, tier-1, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, and failover smokes all green"
+echo "OK: fmt, clippy, tier-1, benchmark build, ingest, chaos, recovery, store, query-bench, repair, scale, daemon, and failover smokes all green"
